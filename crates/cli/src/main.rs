@@ -11,7 +11,7 @@ mod args;
 mod report;
 
 use args::Args;
-use spcp_harness::{golden, RunMatrix, StreamConfig, SweepEngine, SweepSummary};
+use spcp_harness::{golden, RunMatrix, RunSpec, StreamConfig, SweepEngine, SweepSummary};
 use spcp_system::{
     CmpSystem, CoherenceVariant, MachineConfig, PredictorKind, ProtocolKind, RunConfig, RunStats,
 };
@@ -253,18 +253,12 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             return golden_out(args, path, &rendered);
         }
         // Bounded-memory reporting: rows and the summary come from one
-        // replay of the spool, never a buffered run list. stdout is
-        // byte-identical to the in-memory path below.
-        sweep_rows_header();
-        let mut summary = SweepSummary::new();
-        streamed
-            .for_each_run(|spec, rec| {
-                sweep_row(&spec.id(), &rec.stats);
-                summary.observe(&rec.stats);
-            })
-            .map_err(|e| e.to_string())?;
-        sweep_footer(&summary);
-        return Ok(());
+        // replay of the spool, never a buffered run list.
+        return print_sweep(|row| {
+            streamed
+                .for_each_run(|spec, rec| row(spec, &rec.stats))
+                .map_err(|e| e.to_string())
+        });
     }
 
     let result = SweepEngine::new(jobs_arg(args)?).run(&matrix);
@@ -279,41 +273,43 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     if let Some(path) = args.opt("golden") {
         return golden_out(args, path, &golden::render(&result));
     }
-
-    sweep_rows_header();
-    for r in &result.runs {
-        sweep_row(&r.spec.id(), &r.stats);
-    }
-    sweep_footer(&result.summary());
-    Ok(())
+    print_sweep(|row| {
+        result.runs.iter().for_each(|r| row(&r.spec, &r.stats));
+        Ok(())
+    })
 }
 
-fn sweep_rows_header() {
+/// Prints the `sweep` table for both result paths, so their stdout is
+/// byte-identical: a header, one row per run as `visit` passes them in
+/// canonical order, and a footer over the pooled totals.
+fn print_sweep(
+    visit: impl FnOnce(&mut dyn FnMut(&RunSpec, &RunStats)) -> Result<(), String>,
+) -> Result<(), String> {
     println!(
         "{:<30} {:>10} {:>9} {:>12} {:>9}",
         "run", "exec", "misslat", "byte-hops", "accuracy"
     );
-}
-
-fn sweep_row(id: &str, s: &RunStats) {
-    println!(
-        "{:<30} {:>10} {:>9.1} {:>12} {:>8.1}%",
-        id,
-        s.exec_cycles,
-        s.miss_latency.mean(),
-        s.noc.byte_hops,
-        s.accuracy() * 100.0,
-    );
-}
-
-fn sweep_footer(summary: &SweepSummary) {
+    let mut summary = SweepSummary::new();
+    visit(&mut |spec, s| {
+        println!(
+            "{:<30} {:>10} {:>9.1} {:>12} {:>8.1}%",
+            spec.id(),
+            s.exec_cycles,
+            s.miss_latency.mean(),
+            s.noc.byte_hops,
+            s.accuracy() * 100.0,
+        );
+        summary.observe(s);
+    })?;
+    let totals = &summary.totals;
     println!(
         "---\n{} runs | {} ops | mean miss latency {:.1} | accuracy {:.1}%",
         summary.runs,
-        summary.total_ops,
-        summary.mean_miss_latency(),
-        summary.accuracy() * 100.0,
+        totals.total_ops,
+        totals.miss_latency.mean(),
+        totals.accuracy() * 100.0,
     );
+    Ok(())
 }
 
 /// Writes or verifies a golden snapshot at `path` (shared by the streamed

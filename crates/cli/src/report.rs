@@ -1,5 +1,6 @@
 //! Human- and machine-readable run summaries.
 
+use spcp_system::metrics::{StatField, STATS};
 use spcp_system::RunStats;
 
 /// Formats a one-run summary as a human-readable block.
@@ -61,39 +62,23 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Formats a one-run summary as a flat JSON object (no dependencies).
+/// Formats a one-run summary as a flat JSON object (no dependencies):
+/// every [`STATS`] row under its name (a latency accumulator as its
+/// `<name>_mean`), then the derived ratios.
 pub fn json_summary(s: &RunStats) -> String {
-    let fields: Vec<(&str, String)> = vec![
-        ("benchmark", format!("\"{}\"", json_escape(&s.benchmark))),
-        ("protocol", format!("\"{}\"", json_escape(&s.protocol))),
-        ("exec_cycles", s.exec_cycles.to_string()),
-        ("l2_misses", s.l2_misses.to_string()),
-        ("comm_misses", s.comm_misses.to_string()),
-        ("noncomm_misses", s.noncomm_misses.to_string()),
-        ("comm_ratio", format!("{:.6}", s.comm_ratio())),
-        ("miss_latency_mean", format!("{:.3}", s.miss_latency.mean())),
-        (
-            "comm_miss_latency_mean",
-            format!("{:.3}", s.comm_miss_latency.mean()),
-        ),
-        ("byte_hops", s.noc.byte_hops.to_string()),
-        ("ctrl_byte_hops", s.noc.ctrl_byte_hops.to_string()),
-        ("energy", format!("{:.3}", s.energy())),
-        ("predictions", s.predictions.to_string()),
-        ("pred_sufficient_comm", s.pred_sufficient_comm.to_string()),
-        ("accuracy", format!("{:.6}", s.accuracy())),
-        ("indirections", s.indirections.to_string()),
-        (
-            "predictor_storage_bits",
-            s.predictor_storage_bits.to_string(),
-        ),
-        ("filtered_predictions", s.filtered_predictions.to_string()),
-        ("migrations", s.migrations.to_string()),
+    let mut body = vec![
+        format!("\"benchmark\":\"{}\"", json_escape(&s.benchmark)),
+        format!("\"protocol\":\"{}\"", json_escape(&s.protocol)),
     ];
-    let body: Vec<String> = fields
-        .into_iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
+    for stat in STATS {
+        body.push(match stat.field {
+            StatField::Count(get, _) => format!("\"{}\":{}", stat.name, get(s)),
+            StatField::Mean(get, _, _) => format!("\"{}_mean\":{:.3}", stat.name, get(s).mean()),
+        });
+    }
+    body.push(format!("\"comm_ratio\":{:.6}", s.comm_ratio()));
+    body.push(format!("\"energy\":{:.3}", s.energy()));
+    body.push(format!("\"accuracy\":{:.6}", s.accuracy()));
     format!("{{{}}}", body.join(","))
 }
 
@@ -129,6 +114,11 @@ mod tests {
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"benchmark\":\"x264\""));
         assert!(j.contains("\"accuracy\":0.75"));
+        assert!(j.contains("\"noc_byte_hops\":0"));
+        assert!(j.contains("\"miss_latency_mean\":0.000"));
+        for stat in STATS {
+            assert!(j.contains(&format!("\"{}", stat.name)), "{}", stat.name);
+        }
         // Basic structural sanity: balanced braces and quotes.
         assert_eq!(j.matches('{').count(), 1);
         assert_eq!(j.matches('}').count(), 1);

@@ -34,11 +34,7 @@ impl RunResult {
     /// single run — the per-run analogue of
     /// [`SweepResult::throughput_ops_per_sec`].
     pub fn ops_per_sec(&self) -> f64 {
-        let wall = self.wall.as_secs_f64();
-        if wall <= 0.0 {
-            return 0.0;
-        }
-        self.stats.total_ops as f64 / wall
+        self.stats.ops_per_sec(self.wall)
     }
 }
 
@@ -132,12 +128,7 @@ impl SweepResult {
 
     /// Simulated memory operations retired per wall-clock second.
     pub fn throughput_ops_per_sec(&self) -> f64 {
-        let elapsed = self.elapsed.as_secs_f64();
-        if elapsed <= 0.0 {
-            return 0.0;
-        }
-        let ops: u64 = self.runs.iter().map(|r| r.stats.total_ops).sum();
-        ops as f64 / elapsed
+        self.summary().totals.ops_per_sec(self.elapsed)
     }
 
     /// One-line timing report, e.g. for bench binaries.

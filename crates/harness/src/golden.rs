@@ -14,74 +14,68 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
+use spcp_system::metrics::{StatField, STATS};
 use spcp_system::RunStats;
 
-use crate::engine::{RunResult, SweepResult};
+use crate::engine::SweepResult;
 use crate::matrix::RunSpec;
 
 /// Magic first line of every golden file; bump the version when the field
-/// set changes so stale files fail loudly instead of diffing confusingly.
+/// set (the [`STATS`] rows flagged `golden`) changes so stale files fail
+/// loudly instead of diffing confusingly.
 pub const GOLDEN_HEADER: &str = "# spcp golden v1";
 
-/// Renders the snapshot of one run.
+/// Renders the snapshot of one run: its `[run …]` header, then one
+/// `name = value` line per [`STATS`] row flagged `golden`.
 pub fn snapshot_run(spec: &RunSpec, stats: &RunStats) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str(&format!(
         "[run {} {} seed={} machine={} cores={}]\n",
         spec.bench.name, spec.protocol_label, spec.seed, spec.machine_label, spec.machine.num_cores
     ));
-    let mut field = |name: &str, value: u128| {
-        out.push_str(&format!("{name} = {value}\n"));
-    };
-    field("total_ops", stats.total_ops as u128);
-    field("loads", stats.loads as u128);
-    field("stores", stats.stores as u128);
-    field("l1_hits", stats.l1_hits as u128);
-    field("l2_hits", stats.l2_hits as u128);
-    field("l2_misses", stats.l2_misses as u128);
-    field("upgrades", stats.upgrades as u128);
-    field("comm_misses", stats.comm_misses as u128);
-    field("noncomm_misses", stats.noncomm_misses as u128);
-    field("exec_cycles", stats.exec_cycles as u128);
-    field("miss_latency_sum", stats.miss_latency.sum());
-    field("miss_latency_count", stats.miss_latency.count() as u128);
-    field("noc_messages", stats.noc.messages as u128);
-    field("noc_bytes_injected", stats.noc.bytes_injected as u128);
-    field("noc_byte_hops", stats.noc.byte_hops as u128);
-    field("noc_ctrl_byte_hops", stats.noc.ctrl_byte_hops as u128);
-    field("noc_contention_cycles", stats.noc.contention_cycles as u128);
-    field("snoop_probes", stats.snoop_probes as u128);
-    field("predictions", stats.predictions as u128);
-    field("pred_sufficient", stats.pred_sufficient as u128);
-    field("pred_sufficient_comm", stats.pred_sufficient_comm as u128);
-    field("pred_insufficient", stats.pred_insufficient as u128);
-    field("indirections", stats.indirections as u128);
-    field("predicted_set_sum", stats.predicted_set_sum as u128);
-    field("actual_set_sum", stats.actual_set_sum as u128);
-    field(
-        "predictor_storage_bits",
-        stats.predictor_storage_bits as u128,
-    );
-    field("filtered_predictions", stats.filtered_predictions as u128);
-    field("migrations", stats.migrations as u128);
+    for stat in STATS.iter().filter(|s| s.golden) {
+        match stat.field {
+            StatField::Count(get, _) => out.push_str(&format!("{} = {}\n", stat.name, get(stats))),
+            StatField::Mean(get, _, _) => {
+                let m = get(stats);
+                out.push_str(&format!("{}_sum = {}\n", stat.name, m.sum()));
+                out.push_str(&format!("{}_count = {}\n", stat.name, m.count()));
+            }
+        }
+    }
     out
+}
+
+/// Builds a golden file from runs pushed in canonical matrix order: the
+/// header, then one [`snapshot_run`] block per run.
+pub(crate) struct GoldenWriter {
+    out: String,
+}
+
+impl GoldenWriter {
+    pub(crate) fn new() -> Self {
+        GoldenWriter {
+            out: format!("{GOLDEN_HEADER}\n"),
+        }
+    }
+
+    pub(crate) fn push(&mut self, spec: &RunSpec, stats: &RunStats) {
+        self.out.push('\n');
+        self.out.push_str(&snapshot_run(spec, stats));
+    }
+
+    pub(crate) fn finish(self) -> String {
+        self.out
+    }
 }
 
 /// Renders a whole sweep (runs in canonical matrix order).
 pub fn render(result: &SweepResult) -> String {
-    render_runs(&result.runs)
-}
-
-/// Renders a slice of run results.
-pub fn render_runs(runs: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str(GOLDEN_HEADER);
-    out.push('\n');
-    for r in runs {
-        out.push('\n');
-        out.push_str(&snapshot_run(&r.spec, &r.stats));
+    let mut golden = GoldenWriter::new();
+    for r in &result.runs {
+        golden.push(&r.spec, &r.stats);
     }
-    out
+    golden.finish()
 }
 
 /// Why a golden check failed.

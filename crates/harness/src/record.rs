@@ -2,10 +2,11 @@
 //!
 //! Every completed run is one flat JSON object holding the run's identity
 //! (`index`, `id`), the engine's timing metadata, and the exact integer
-//! moments of its statistics. Floating-point fields (`NocStats::energy`,
-//! `RunStats::snoop_energy`) are stored as their IEEE-754 bit patterns so
-//! the round trip is bit-exact; `MeanAccumulator` and `Histogram` travel
-//! as their raw integer parts.
+//! moments of its statistics: every [`STATS`] row under its name (the
+//! latency accumulators as their raw parts under the `ml`/`cml`
+//! prefixes), plus the latency histogram. Floating-point fields
+//! (`NocStats::energy`, `RunStats::snoop_energy`) are stored as their
+//! IEEE-754 bit patterns so the round trip is bit-exact.
 //!
 //! The codec is deliberately tiny and dependency-free: values are
 //! unsigned integers (up to `u128`), strings, or arrays of unsigned
@@ -21,6 +22,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use spcp_sim::{Histogram, MeanAccumulator};
+use spcp_system::metrics::{StatField, STATS};
 use spcp_system::RunStats;
 
 /// Spool format version stamped into every record and shard header.
@@ -119,6 +121,7 @@ impl ObjWriter {
 /// Parses one flat JSON object of the record subset.
 fn parse_object(s: &str) -> Result<HashMap<String, Val>, String> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -132,6 +135,7 @@ fn parse_object(s: &str) -> Result<HashMap<String, Val>, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -271,10 +275,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is already &str-valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().ok_or("empty string tail")?;
+                    // Consume one UTF-8 scalar: `pos` only ever advances
+                    // by whole scalars, so it sits on a char boundary.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("string offset off a char boundary")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -316,85 +323,6 @@ fn get_arr_u64(map: &HashMap<String, Val>, key: &str) -> Result<Vec<u64>, String
     }
 }
 
-/// One row of the plain-`u64` statistics field table: key, getter, setter.
-type U64Field = (&'static str, fn(&RunStats) -> u64, fn(&mut RunStats, u64));
-
-/// The `(key, getter, setter)` table of plain `u64` statistics fields —
-/// one place to keep encode and decode in lockstep.
-const U64_FIELDS: [U64Field; 23] = [
-    ("total_ops", |s| s.total_ops, |s, v| s.total_ops = v),
-    ("loads", |s| s.loads, |s, v| s.loads = v),
-    ("stores", |s| s.stores, |s, v| s.stores = v),
-    ("l1_hits", |s| s.l1_hits, |s, v| s.l1_hits = v),
-    ("l2_hits", |s| s.l2_hits, |s, v| s.l2_hits = v),
-    ("l2_misses", |s| s.l2_misses, |s, v| s.l2_misses = v),
-    ("upgrades", |s| s.upgrades, |s, v| s.upgrades = v),
-    ("comm_misses", |s| s.comm_misses, |s, v| s.comm_misses = v),
-    (
-        "noncomm_misses",
-        |s| s.noncomm_misses,
-        |s, v| s.noncomm_misses = v,
-    ),
-    ("exec_cycles", |s| s.exec_cycles, |s, v| s.exec_cycles = v),
-    (
-        "snoop_probes",
-        |s| s.snoop_probes,
-        |s, v| s.snoop_probes = v,
-    ),
-    ("predictions", |s| s.predictions, |s, v| s.predictions = v),
-    (
-        "pred_sufficient",
-        |s| s.pred_sufficient,
-        |s, v| s.pred_sufficient = v,
-    ),
-    (
-        "pred_sufficient_comm",
-        |s| s.pred_sufficient_comm,
-        |s, v| s.pred_sufficient_comm = v,
-    ),
-    (
-        "pred_insufficient",
-        |s| s.pred_insufficient,
-        |s, v| s.pred_insufficient = v,
-    ),
-    (
-        "indirections",
-        |s| s.indirections,
-        |s, v| s.indirections = v,
-    ),
-    (
-        "predicted_set_sum",
-        |s| s.predicted_set_sum,
-        |s, v| s.predicted_set_sum = v,
-    ),
-    (
-        "actual_set_sum",
-        |s| s.actual_set_sum,
-        |s, v| s.actual_set_sum = v,
-    ),
-    (
-        "predictor_storage_bits",
-        |s| s.predictor_storage_bits,
-        |s, v| s.predictor_storage_bits = v,
-    ),
-    (
-        "pred_overhead_comm",
-        |s| s.pred_overhead_comm,
-        |s, v| s.pred_overhead_comm = v,
-    ),
-    (
-        "pred_overhead_noncomm",
-        |s| s.pred_overhead_noncomm,
-        |s, v| s.pred_overhead_noncomm = v,
-    ),
-    (
-        "filtered_predictions",
-        |s| s.filtered_predictions,
-        |s, v| s.filtered_predictions = v,
-    ),
-    ("migrations", |s| s.migrations, |s, v| s.migrations = v),
-];
-
 fn write_mean(w: &mut ObjWriter, prefix: &str, m: &MeanAccumulator) {
     w.num(&format!("{prefix}_sum"), m.sum());
     w.num(&format!("{prefix}_count"), m.count() as u128);
@@ -423,11 +351,12 @@ pub fn encode_record(rec: &RunRecord) -> String {
     let s = &rec.stats;
     w.str("benchmark", &s.benchmark);
     w.str("protocol", &s.protocol);
-    for (key, get, _) in U64_FIELDS {
-        w.num(key, get(s) as u128);
+    for stat in STATS {
+        match stat.field {
+            StatField::Count(get, _) => w.num(stat.name, get(s) as u128),
+            StatField::Mean(get, _, prefix) => write_mean(&mut w, prefix, get(s)),
+        }
     }
-    write_mean(&mut w, "ml", &s.miss_latency);
-    write_mean(&mut w, "cml", &s.comm_miss_latency);
     w.arr(
         "hist_bounds",
         s.miss_latency_hist.bounds().iter().map(|&b| b as u128),
@@ -439,11 +368,6 @@ pub fn encode_record(rec: &RunRecord) -> String {
             .iter()
             .map(|&c| c as u128),
     );
-    w.num("noc_messages", s.noc.messages as u128);
-    w.num("noc_bytes_injected", s.noc.bytes_injected as u128);
-    w.num("noc_byte_hops", s.noc.byte_hops as u128);
-    w.num("noc_ctrl_byte_hops", s.noc.ctrl_byte_hops as u128);
-    w.num("noc_contention_cycles", s.noc.contention_cycles as u128);
     w.num("noc_energy_bits", s.noc.energy.to_bits() as u128);
     w.num("snoop_energy_bits", s.snoop_energy.to_bits() as u128);
     w.finish()
@@ -468,28 +392,24 @@ pub fn decode_record(payload: &str) -> Result<RunRecord, String> {
         protocol: get_str(&map, "protocol")?,
         ..RunStats::default()
     };
-    for (key, _, set) in U64_FIELDS {
-        set(&mut stats, get_u64(&map, key)?);
+    for stat in STATS {
+        match stat.field {
+            StatField::Count(_, set) => set(&mut stats, get_u64(&map, stat.name)?),
+            StatField::Mean(_, get_mut, prefix) => *get_mut(&mut stats) = read_mean(&map, prefix)?,
+        }
     }
-    stats.miss_latency = read_mean(&map, "ml")?;
-    stats.comm_miss_latency = read_mean(&map, "cml")?;
     let bounds = get_arr_u64(&map, "hist_bounds")?;
     let counts = get_arr_u64(&map, "hist_counts")?;
     if counts.len() != bounds.len() + 1 || !bounds.windows(2).all(|w| w[0] < w[1]) {
         return Err("malformed latency histogram".into());
     }
     stats.miss_latency_hist = Histogram::from_parts(&bounds, &counts);
-    stats.noc.messages = get_u64(&map, "noc_messages")?;
-    stats.noc.bytes_injected = get_u64(&map, "noc_bytes_injected")?;
-    stats.noc.byte_hops = get_u64(&map, "noc_byte_hops")?;
-    stats.noc.ctrl_byte_hops = get_u64(&map, "noc_ctrl_byte_hops")?;
-    stats.noc.contention_cycles = get_u64(&map, "noc_contention_cycles")?;
     stats.noc.energy = f64::from_bits(get_u64(&map, "noc_energy_bits")?);
     stats.snoop_energy = f64::from_bits(get_u64(&map, "snoop_energy_bits")?);
     Ok(RunRecord {
         index: get_u64(&map, "index")? as usize,
         id: get_str(&map, "id")?,
-        wall: Duration::from_nanos(u64::try_from(get_num(&map, "wall_ns")?).unwrap_or(u64::MAX)),
+        wall: Duration::from_nanos(get_u64(&map, "wall_ns")?),
         worker: get_u64(&map, "worker")? as usize,
         stats,
     })
@@ -572,14 +492,7 @@ mod tests {
         assert_eq!(back.id, rec.id);
         assert_eq!(back.wall, rec.wall);
         assert_eq!(back.worker, rec.worker);
-        assert_eq!(back.stats.benchmark, rec.stats.benchmark);
-        assert_eq!(back.stats.protocol, rec.stats.protocol);
-        assert_eq!(back.stats.total_ops, rec.stats.total_ops);
-        assert_eq!(back.stats.exec_cycles, rec.stats.exec_cycles);
-        assert_eq!(back.stats.miss_latency, rec.stats.miss_latency);
-        assert_eq!(back.stats.comm_miss_latency, rec.stats.comm_miss_latency);
-        assert_eq!(back.stats.miss_latency_hist, rec.stats.miss_latency_hist);
-        assert_eq!(back.stats.noc, rec.stats.noc);
+        assert_eq!(back.stats, rec.stats);
         assert_eq!(back.stats.snoop_energy.to_bits(), 0.125f64.to_bits());
         // And the re-encoding is byte-identical (canonical field order).
         assert_eq!(encode_record(&back), payload);
@@ -609,6 +522,30 @@ mod tests {
         let back = decode_record(&encode_record(&rec)).unwrap();
         assert_eq!(back.id, rec.id);
         assert_eq!(back.stats.benchmark, rec.stats.benchmark);
+    }
+
+    #[test]
+    fn wall_time_beyond_u64_is_an_error() {
+        let payload = encode_record(&sample_record()).replace(
+            r#""wall_ns":123456789"#,
+            &format!(r#""wall_ns":{}"#, u64::MAX as u128 + 1),
+        );
+        let err = decode_record(&payload).unwrap_err();
+        assert_eq!(err, "field 'wall_ns' exceeds u64");
+    }
+
+    #[test]
+    fn non_ascii_strings_round_trip() {
+        let mut rec = sample_record();
+        rec.id = "fft/σπ/seed7/€🦀".to_string();
+        rec.stats.protocol = "predicted-SP ✓".to_string();
+        let back = decode_record(&encode_record(&rec)).unwrap();
+        assert_eq!(back.id, rec.id);
+        assert_eq!(back.stats.protocol, rec.stats.protocol);
+        assert_eq!(
+            parse_object(r#"{"k":"aé\u00e9b"}"#).unwrap().get("k"),
+            Some(&Val::Str("aééb".to_string()))
+        );
     }
 
     #[test]

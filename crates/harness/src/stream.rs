@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::engine::{RunResult, SweepEngine, SweepResult};
-use crate::golden;
+use crate::golden::GoldenWriter;
 use crate::matrix::{RunMatrix, RunSpec};
 use crate::record::{RunRecord, ShardHeader, RECORD_VERSION};
 use crate::spool::{self, SpoolError, SpoolMerge, SpoolWriter};
@@ -306,41 +306,12 @@ impl StreamedSweep {
     }
 
     /// Renders the sweep's golden snapshot, byte-identical to
-    /// [`golden::render`] of the equivalent in-memory sweep, without
+    /// [`crate::golden::render`] of the equivalent in-memory sweep, without
     /// buffering runs.
     pub fn render_golden(&self) -> Result<String, SpoolError> {
-        let mut out = String::new();
-        out.push_str(golden::GOLDEN_HEADER);
-        out.push('\n');
-        self.for_each_run(|spec, rec| {
-            out.push('\n');
-            out.push_str(&golden::snapshot_run(spec, &rec.stats));
-        })?;
-        Ok(out)
-    }
-
-    /// Streams the golden snapshot to a writer (for sweeps whose rendered
-    /// text should not be buffered either).
-    pub fn write_golden<W: std::io::Write>(&self, w: &mut W) -> Result<(), SpoolError> {
-        let mut io_error: Option<std::io::Error> = None;
-        writeln!(w, "{}", golden::GOLDEN_HEADER).map_err(|e| SpoolError::Io {
-            path: self.dir.clone(),
-            error: e,
-        })?;
-        self.for_each_run(|spec, rec| {
-            if io_error.is_none() {
-                if let Err(e) = write!(w, "\n{}", golden::snapshot_run(spec, &rec.stats)) {
-                    io_error = Some(e);
-                }
-            }
-        })?;
-        match io_error {
-            Some(error) => Err(SpoolError::Io {
-                path: self.dir.clone(),
-                error,
-            }),
-            None => Ok(()),
-        }
+        let mut golden = GoldenWriter::new();
+        self.for_each_run(|spec, rec| golden.push(spec, &rec.stats))?;
+        Ok(golden.finish())
     }
 
     /// Loads the whole spool into an in-memory [`SweepResult`].
@@ -381,6 +352,7 @@ impl StreamedSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden;
     use spcp_system::ProtocolKind;
     use spcp_workloads::suite;
 
@@ -410,9 +382,6 @@ mod tests {
         assert_eq!(streamed.resumed, 0);
         assert_eq!(streamed.summary().unwrap(), mem.summary());
         assert_eq!(streamed.render_golden().unwrap(), golden::render(&mem));
-        let mut sink = Vec::new();
-        streamed.write_golden(&mut sink).unwrap();
-        assert_eq!(String::from_utf8(sink).unwrap(), golden::render(&mem));
         let loaded = streamed.into_sweep_result().unwrap();
         assert_eq!(loaded.summary(), mem.summary());
         fs::remove_dir_all(&dir).unwrap();

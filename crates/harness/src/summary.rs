@@ -1,13 +1,13 @@
 //! Mergeable, order-independent aggregation of [`RunStats`] across a sweep.
 //!
-//! Every field is an exact integer accumulator (or built from them), so
-//! `observe`/`merge` are commutative and associative: the summary of a sweep
-//! is bit-identical no matter how runs were scheduled across workers or in
-//! which order partial summaries were combined. Derived ratios are computed
-//! on demand from the exact sums.
+//! The summary pools every [`STATS`](spcp_system::metrics::STATS) row by
+//! exact integer sums (and merges the latency histograms), so
+//! `observe`/`merge` are commutative and associative: the summary of a
+//! sweep is bit-identical no matter how runs were scheduled across workers
+//! or in which order partial summaries were combined. Pooled ratios are
+//! the [`RunStats`] ratio methods of [`SweepSummary::totals`], so a pooled
+//! ratio and a per-run ratio share one formula.
 
-use spcp_sim::{Histogram, MeanAccumulator};
-use spcp_system::metrics::LATENCY_BUCKETS;
 use spcp_system::RunStats;
 
 /// Exact aggregate of the [`RunStats`] of many runs.
@@ -22,133 +22,24 @@ use spcp_system::RunStats;
 /// b.merge(&a);
 /// assert_eq!(b, SweepSummary::new());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepSummary {
     /// Number of runs aggregated.
     pub runs: u64,
-    /// Total memory operations executed.
-    pub total_ops: u64,
-    /// Load operations.
-    pub loads: u64,
-    /// Store operations.
-    pub stores: u64,
-    /// L1 hits.
-    pub l1_hits: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// Upgrade (S→M) transactions.
-    pub upgrades: u64,
-    /// Communicating L2 misses.
-    pub comm_misses: u64,
-    /// Non-communicating L2 misses.
-    pub noncomm_misses: u64,
-    /// Sum of per-run execution cycle counts.
-    pub exec_cycles: u64,
-    /// Longest single run, in cycles.
-    pub max_exec_cycles: u64,
-    /// Miss latency distribution (exact integer moments).
-    pub miss_latency: MeanAccumulator,
-    /// Miss latency histogram over the paper's buckets.
-    pub miss_latency_hist: Histogram,
-    /// Messages injected into the NoC.
-    pub noc_messages: u64,
-    /// Bytes injected into the NoC.
-    pub noc_bytes_injected: u64,
-    /// Byte·hops moved (the paper's bandwidth measure).
-    pub noc_byte_hops: u64,
-    /// Control-message byte·hops.
-    pub noc_ctrl_byte_hops: u64,
-    /// Cycles lost to link contention.
-    pub noc_contention_cycles: u64,
-    /// Snoop probes delivered.
-    pub snoop_probes: u64,
-    /// Destination-set predictions made.
-    pub predictions: u64,
-    /// Predictions whose set covered all actual sharers.
-    pub pred_sufficient: u64,
-    /// Sufficient predictions on communicating misses.
-    pub pred_sufficient_comm: u64,
-    /// Predictions that missed a sharer.
-    pub pred_insufficient: u64,
-    /// Directory indirections taken after insufficient predictions.
-    pub indirections: u64,
-    /// Sum of predicted destination-set sizes.
-    pub predicted_set_sum: u64,
-    /// Sum of actual sharer-set sizes.
-    pub actual_set_sum: u64,
-}
-
-impl Default for SweepSummary {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Pooled statistics: see [`RunStats::pool`].
+    pub totals: RunStats,
 }
 
 impl SweepSummary {
     /// An empty summary.
     pub fn new() -> Self {
-        SweepSummary {
-            runs: 0,
-            total_ops: 0,
-            loads: 0,
-            stores: 0,
-            l1_hits: 0,
-            l2_hits: 0,
-            l2_misses: 0,
-            upgrades: 0,
-            comm_misses: 0,
-            noncomm_misses: 0,
-            exec_cycles: 0,
-            max_exec_cycles: 0,
-            miss_latency: MeanAccumulator::new(),
-            miss_latency_hist: Histogram::with_bounds(&LATENCY_BUCKETS),
-            noc_messages: 0,
-            noc_bytes_injected: 0,
-            noc_byte_hops: 0,
-            noc_ctrl_byte_hops: 0,
-            noc_contention_cycles: 0,
-            snoop_probes: 0,
-            predictions: 0,
-            pred_sufficient: 0,
-            pred_sufficient_comm: 0,
-            pred_insufficient: 0,
-            indirections: 0,
-            predicted_set_sum: 0,
-            actual_set_sum: 0,
-        }
+        Self::default()
     }
 
     /// Folds one run's stats into the summary.
     pub fn observe(&mut self, stats: &RunStats) {
         self.runs += 1;
-        self.total_ops += stats.total_ops;
-        self.loads += stats.loads;
-        self.stores += stats.stores;
-        self.l1_hits += stats.l1_hits;
-        self.l2_hits += stats.l2_hits;
-        self.l2_misses += stats.l2_misses;
-        self.upgrades += stats.upgrades;
-        self.comm_misses += stats.comm_misses;
-        self.noncomm_misses += stats.noncomm_misses;
-        self.exec_cycles += stats.exec_cycles;
-        self.max_exec_cycles = self.max_exec_cycles.max(stats.exec_cycles);
-        self.miss_latency.merge(&stats.miss_latency);
-        self.miss_latency_hist.merge(&stats.miss_latency_hist);
-        self.noc_messages += stats.noc.messages;
-        self.noc_bytes_injected += stats.noc.bytes_injected;
-        self.noc_byte_hops += stats.noc.byte_hops;
-        self.noc_ctrl_byte_hops += stats.noc.ctrl_byte_hops;
-        self.noc_contention_cycles += stats.noc.contention_cycles;
-        self.snoop_probes += stats.snoop_probes;
-        self.predictions += stats.predictions;
-        self.pred_sufficient += stats.pred_sufficient;
-        self.pred_sufficient_comm += stats.pred_sufficient_comm;
-        self.pred_insufficient += stats.pred_insufficient;
-        self.indirections += stats.indirections;
-        self.predicted_set_sum += stats.predicted_set_sum;
-        self.actual_set_sum += stats.actual_set_sum;
+        self.totals.pool(stats);
     }
 
     /// Merges another partial summary into this one.
@@ -158,65 +49,7 @@ impl SweepSummary {
     /// orders.
     pub fn merge(&mut self, other: &SweepSummary) {
         self.runs += other.runs;
-        self.total_ops += other.total_ops;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.l1_hits += other.l1_hits;
-        self.l2_hits += other.l2_hits;
-        self.l2_misses += other.l2_misses;
-        self.upgrades += other.upgrades;
-        self.comm_misses += other.comm_misses;
-        self.noncomm_misses += other.noncomm_misses;
-        self.exec_cycles += other.exec_cycles;
-        self.max_exec_cycles = self.max_exec_cycles.max(other.max_exec_cycles);
-        self.miss_latency.merge(&other.miss_latency);
-        self.miss_latency_hist.merge(&other.miss_latency_hist);
-        self.noc_messages += other.noc_messages;
-        self.noc_bytes_injected += other.noc_bytes_injected;
-        self.noc_byte_hops += other.noc_byte_hops;
-        self.noc_ctrl_byte_hops += other.noc_ctrl_byte_hops;
-        self.noc_contention_cycles += other.noc_contention_cycles;
-        self.snoop_probes += other.snoop_probes;
-        self.predictions += other.predictions;
-        self.pred_sufficient += other.pred_sufficient;
-        self.pred_sufficient_comm += other.pred_sufficient_comm;
-        self.pred_insufficient += other.pred_insufficient;
-        self.indirections += other.indirections;
-        self.predicted_set_sum += other.predicted_set_sum;
-        self.actual_set_sum += other.actual_set_sum;
-    }
-
-    /// Pooled prediction accuracy, or 0.0 with no predictions.
-    pub fn accuracy(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.pred_sufficient as f64 / self.predictions as f64
-        }
-    }
-
-    /// Pooled communicating-miss ratio, or 0.0 with no misses.
-    pub fn comm_ratio(&self) -> f64 {
-        let total = self.comm_misses + self.noncomm_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.comm_misses as f64 / total as f64
-        }
-    }
-
-    /// Pooled mean miss latency in cycles.
-    pub fn mean_miss_latency(&self) -> f64 {
-        self.miss_latency.mean()
-    }
-
-    /// Mean predicted destination-set size, or 0.0 with no predictions.
-    pub fn mean_predicted_set(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.predicted_set_sum as f64 / self.predictions as f64
-        }
+        self.totals.pool(&other.totals);
     }
 }
 
@@ -235,6 +68,7 @@ mod tests {
             noncomm_misses: ops / 10 - ops / 20,
             predictions: ops / 20,
             pred_sufficient: ops / 25,
+            pred_sufficient_comm: ops / 25,
             ..Default::default()
         };
         s.noc.byte_hops = ops * 3;
@@ -249,11 +83,11 @@ mod tests {
         sum.observe(&fake_stats(100, 1000));
         sum.observe(&fake_stats(200, 4000));
         assert_eq!(sum.runs, 2);
-        assert_eq!(sum.total_ops, 300);
-        assert_eq!(sum.exec_cycles, 5000);
-        assert_eq!(sum.max_exec_cycles, 4000);
-        assert_eq!(sum.noc_byte_hops, 900);
-        assert_eq!(sum.miss_latency.count(), 2);
+        assert_eq!(sum.totals.total_ops, 300);
+        assert_eq!(sum.totals.exec_cycles, 5000);
+        assert_eq!(sum.totals.noc.byte_hops, 900);
+        assert_eq!(sum.totals.miss_latency.count(), 2);
+        assert_eq!(sum.totals.miss_latency_hist.total(), 2);
     }
 
     #[test]
@@ -287,20 +121,25 @@ mod tests {
     }
 
     #[test]
-    fn derived_ratios() {
+    fn pooled_accuracy_is_the_figure_7_ratio() {
+        // Two runs at 52 % and 96 % pool to (52 + 96) / 200, the ratio of
+        // the sums, not the share of sufficient predictions (40 / 50).
+        let mut a = fake_stats(1000, 1000);
+        a.comm_misses = 100;
+        a.pred_sufficient_comm = 52;
+        let mut b = a.clone();
+        b.pred_sufficient_comm = 96;
         let mut sum = SweepSummary::new();
-        sum.observe(&fake_stats(100, 1000));
-        assert!(sum.accuracy() > 0.0);
-        assert!(sum.comm_ratio() > 0.0 && sum.comm_ratio() <= 1.0);
-        assert!(sum.mean_miss_latency() > 0.0);
-        assert!(sum.mean_predicted_set() >= 0.0);
+        sum.observe(&a);
+        sum.observe(&b);
+        assert_eq!(sum.totals.accuracy(), 148.0 / 200.0);
     }
 
     #[test]
     fn empty_summary_ratios_are_zero() {
         let s = SweepSummary::new();
-        assert_eq!(s.accuracy(), 0.0);
-        assert_eq!(s.comm_ratio(), 0.0);
-        assert_eq!(s.mean_miss_latency(), 0.0);
+        assert_eq!(s.totals.accuracy(), 0.0);
+        assert_eq!(s.totals.comm_ratio(), 0.0);
+        assert_eq!(s.totals.miss_latency.mean(), 0.0);
     }
 }

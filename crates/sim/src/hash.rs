@@ -4,54 +4,15 @@
 //! DoS-resistant but costs tens of cycles per lookup — far too much for
 //! tables probed on every simulated memory access. The simulator hashes
 //! only *trusted, internal* keys (block indices, sync-point IDs, region
-//! tags), so it can use a multiplicative FxHash-style mix instead: one
-//! rotate, one xor and one multiply per word.
+//! tags), so the open-addressing [`FlatMap`](crate::flatmap::FlatMap)
+//! mixes them with [`mix_u64`] instead: one multiply and one xor-shift.
 //!
-//! Two things live here:
-//!
-//! * [`FxHasher`] / [`FxHashMap`] — a drop-in replacement hasher for
-//!   `std` maps whose keys are small integers or tuples of them.
-//! * [`mix_u64`] / [`fold_u64`] — the raw word mixers, used directly by
-//!   the open-addressing [`FlatMap`](crate::flatmap::FlatMap).
-//!
-//! Everything is seed-free and therefore deterministic across runs and
+//! The mix is seed-free and therefore deterministic across runs and
 //! processes, which the parallel sweep harness relies on (bit-identical
 //! results at any `--jobs`).
-//!
-//! # Examples
-//!
-//! ```
-//! use spcp_sim::hash::FxHashMap;
-//!
-//! let mut m: FxHashMap<u64, &str> = FxHashMap::default();
-//! m.insert(42, "answer");
-//! assert_eq!(m.get(&42), Some(&"answer"));
-//! ```
-
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// The multiplicative constant used by Firefox's FxHash (a truncation of
-/// pi's fractional part chosen for good bit diffusion).
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Golden-ratio constant for Fibonacci hashing (`2^64 / phi`).
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Folds one 64-bit word into a running FxHash state.
-///
-/// # Examples
-///
-/// ```
-/// use spcp_sim::hash::fold_u64;
-///
-/// let h = fold_u64(0, 7);
-/// assert_ne!(h, fold_u64(0, 8));
-/// assert_eq!(h, fold_u64(0, 7)); // deterministic
-/// ```
-#[inline]
-pub const fn fold_u64(state: u64, word: u64) -> u64 {
-    (state.rotate_left(5) ^ word).wrapping_mul(SEED)
-}
 
 /// Fibonacci-mixes a single 64-bit key.
 ///
@@ -76,114 +37,9 @@ pub const fn mix_u64(key: u64) -> u64 {
     x ^ (x >> 32)
 }
 
-/// A fast, deterministic [`Hasher`] for trusted integer-like keys.
-///
-/// Word-at-a-time FxHash: each written word is folded with
-/// [`fold_u64`]. Not DoS-resistant — never expose tables keyed by
-/// untrusted external input through it (the simulator has none).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
-    state: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn fold(&mut self, word: u64) {
-        self.state = fold_u64(self.state, word);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Final avalanche so `HashMap`s that use the low bits of the
-        // result still see the multiply's high-bit entropy.
-        mix_u64(self.state)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.fold(u64::from_le_bytes(
-                chunk
-                    .try_into()
-                    .expect("chunks_exact(8) yields 8-byte chunks"),
-            ));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rest.len()].copy_from_slice(rest);
-            self.fold(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.fold(i as u64);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.fold(i as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.fold(i as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.fold(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.fold(i as u64);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.fold(i as u64);
-        self.fold((i >> 64) as u64);
-    }
-}
-
-/// `BuildHasher` producing [`FxHasher`]s (stateless, deterministic).
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A `HashMap` keyed through [`FxHasher`] — drop-in for `std`'s map when
-/// the keys are trusted simulator-internal integers.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` hashed through [`FxHasher`].
-pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::{BuildHasher, Hash};
-
-    fn hash_of<T: Hash>(v: T) -> u64 {
-        FxBuildHasher::default().hash_one(v)
-    }
-
-    #[test]
-    fn deterministic_across_hashers() {
-        assert_eq!(hash_of(12345u64), hash_of(12345u64));
-        assert_eq!(hash_of((3u64, 4usize)), hash_of((3u64, 4usize)));
-    }
-
-    #[test]
-    fn distinct_keys_rarely_collide() {
-        let mut seen = std::collections::HashSet::new();
-        for k in 0u64..10_000 {
-            seen.insert(hash_of(k));
-        }
-        assert_eq!(seen.len(), 10_000, "sequential u64 keys must not collide");
-    }
 
     #[test]
     fn mix_scatters_sequential_keys_in_high_bits() {
@@ -198,36 +54,5 @@ mod tests {
             "got {} distinct buckets",
             buckets.len()
         );
-    }
-
-    #[test]
-    fn byte_stream_matches_word_writes_for_framing() {
-        // Same logical value written differently may hash differently —
-        // that's fine — but each must be self-consistent.
-        let mut a = FxHasher::default();
-        a.write(&7u64.to_le_bytes());
-        let mut b = FxHasher::default();
-        b.write(&7u64.to_le_bytes());
-        assert_eq!(a.finish(), b.finish());
-
-        let mut c = FxHasher::default();
-        c.write(&[1, 2, 3]); // non-multiple-of-8 tail
-        let mut d = FxHasher::default();
-        d.write(&[1, 2, 3]);
-        assert_eq!(c.finish(), d.finish());
-    }
-
-    #[test]
-    fn fx_map_behaves_like_std_map() {
-        let mut fx: FxHashMap<u64, u64> = FxHashMap::default();
-        let mut std_map = std::collections::HashMap::new();
-        for k in 0..1000u64 {
-            fx.insert(k * 7, k);
-            std_map.insert(k * 7, k);
-        }
-        for k in 0..1000u64 {
-            assert_eq!(fx.get(&(k * 7)), std_map.get(&(k * 7)));
-        }
-        assert_eq!(fx.len(), std_map.len());
     }
 }

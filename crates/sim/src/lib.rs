@@ -35,7 +35,6 @@ pub mod stats;
 pub use cycle::Cycle;
 pub use event::EventQueue;
 pub use flatmap::FlatMap;
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CoreId, CoreSet};
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, MeanAccumulator};

@@ -5,6 +5,7 @@ use spcp_noc::NocStats;
 use spcp_sim::{CoreSet, Histogram, MeanAccumulator};
 use spcp_sync::EpochId;
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// The recorded communication of one dynamic epoch instance on one core —
 /// the raw material for Figures 2, 4, 5, 6 and the oracle predictor.
@@ -118,7 +119,11 @@ impl CommMatrix {
 }
 
 /// Everything measured in one simulation run.
-#[derive(Debug, Clone)]
+///
+/// Every integer statistic is also a row of [`STATS`], which golden
+/// snapshots, spool records, sweep summaries and reports iterate instead
+/// of naming fields.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Benchmark name.
     pub benchmark: String,
@@ -249,7 +254,107 @@ impl Default for RunStats {
     }
 }
 
+/// Where one [`STATS`] row lives in [`RunStats`].
+#[derive(Clone, Copy)]
+pub enum StatField {
+    /// A `u64` counter: getter and setter.
+    Count(fn(&RunStats) -> u64, fn(&mut RunStats, u64)),
+    /// A latency accumulator: getter, mutable getter and spool key prefix.
+    /// Golden snapshots render its `<name>_sum` and `<name>_count`; spool
+    /// records carry its four raw parts as `<prefix>_sum`, `_count`,
+    /// `_min` and `_max`.
+    Mean(
+        fn(&RunStats) -> &MeanAccumulator,
+        fn(&mut RunStats) -> &mut MeanAccumulator,
+        &'static str,
+    ),
+}
+
+/// One integer statistic of a run: a row of [`STATS`].
+#[derive(Clone, Copy)]
+pub struct Stat {
+    /// Key in golden snapshots, spool records and JSON reports.
+    pub name: &'static str,
+    /// Whether golden snapshots (format v1) render the row.
+    pub golden: bool,
+    /// How the row is read and written.
+    pub field: StatField,
+}
+
+macro_rules! count {
+    ($golden:literal, $name:literal, $($field:ident).+) => {
+        Stat {
+            name: $name,
+            golden: $golden,
+            field: StatField::Count(|s| s.$($field).+, |s, v| s.$($field).+ = v),
+        }
+    };
+}
+
+macro_rules! mean {
+    ($golden:literal, $name:literal, $prefix:literal, $field:ident) => {
+        Stat {
+            name: $name,
+            golden: $golden,
+            field: StatField::Mean(|s| &s.$field, |s| &mut s.$field, $prefix),
+        }
+    };
+}
+
+/// Every integer statistic of [`RunStats`], in golden-snapshot order.
+///
+/// Adding a statistic means one `RunStats` field, its `Default` value and
+/// one row here: golden snapshots render the rows flagged `golden`, spool
+/// records carry every row, sweep summaries sum every row and the JSON
+/// report prints every row. The latency histogram and the two `f64`
+/// energies are not rows.
+pub const STATS: &[Stat] = &[
+    count!(true, "total_ops", total_ops),
+    count!(true, "loads", loads),
+    count!(true, "stores", stores),
+    count!(true, "l1_hits", l1_hits),
+    count!(true, "l2_hits", l2_hits),
+    count!(true, "l2_misses", l2_misses),
+    count!(true, "upgrades", upgrades),
+    count!(true, "comm_misses", comm_misses),
+    count!(true, "noncomm_misses", noncomm_misses),
+    count!(true, "exec_cycles", exec_cycles),
+    mean!(true, "miss_latency", "ml", miss_latency),
+    count!(true, "noc_messages", noc.messages),
+    count!(true, "noc_bytes_injected", noc.bytes_injected),
+    count!(true, "noc_byte_hops", noc.byte_hops),
+    count!(true, "noc_ctrl_byte_hops", noc.ctrl_byte_hops),
+    count!(true, "noc_contention_cycles", noc.contention_cycles),
+    count!(true, "snoop_probes", snoop_probes),
+    count!(true, "predictions", predictions),
+    count!(true, "pred_sufficient", pred_sufficient),
+    count!(true, "pred_sufficient_comm", pred_sufficient_comm),
+    count!(true, "pred_insufficient", pred_insufficient),
+    count!(true, "indirections", indirections),
+    count!(true, "predicted_set_sum", predicted_set_sum),
+    count!(true, "actual_set_sum", actual_set_sum),
+    count!(true, "predictor_storage_bits", predictor_storage_bits),
+    count!(true, "filtered_predictions", filtered_predictions),
+    count!(true, "migrations", migrations),
+    count!(false, "pred_overhead_comm", pred_overhead_comm),
+    count!(false, "pred_overhead_noncomm", pred_overhead_noncomm),
+    mean!(false, "comm_miss_latency", "cml", comm_miss_latency),
+];
+
 impl RunStats {
+    /// Folds `run` into these pooled totals: every [`STATS`] row is summed
+    /// and the latency histograms are merged. Other fields are left as
+    /// they are. The ratio methods of the result are the pooled ratios.
+    pub fn pool(&mut self, run: &RunStats) {
+        for stat in STATS {
+            match stat.field {
+                StatField::Count(get, set) => set(self, get(self) + get(run)),
+                StatField::Mean(get, get_mut, _) => get_mut(self).merge(get(run)),
+            }
+        }
+        self.miss_latency_hist.merge(&run.miss_latency_hist);
+    }
+
     /// Approximate latency percentile (the upper bound of the bucket
     /// containing the `p`-quantile sample), or `None` with no misses.
     pub fn latency_percentile(&self, p: f64) -> Option<u64> {
@@ -326,6 +431,17 @@ impl RunStats {
     pub fn bandwidth(&self) -> u64 {
         self.noc.byte_hops
     }
+
+    /// Simulated operations retired per second of host time `wall`, or
+    /// 0.0 for a zero `wall`.
+    pub fn ops_per_sec(&self, wall: Duration) -> f64 {
+        let secs = wall.as_secs_f64();
+        if secs <= 0.0 {
+            0.0
+        } else {
+            self.total_ops as f64 / secs
+        }
+    }
 }
 
 #[cfg(test)]
@@ -388,6 +504,66 @@ mod tests {
         assert_eq!(s.latency_percentile(0.5), Some(16));
         assert_eq!(s.latency_percentile(0.9), Some(16));
         assert_eq!(s.latency_percentile(1.0), Some(u64::MAX));
+    }
+
+    #[test]
+    fn stats_table_covers_every_counter() {
+        // Exhaustive literal, no `..Default`: a new field does not compile
+        // here until it is listed. Counters get distinct values; pooling
+        // them into empty stats copies only table rows, so a counter
+        // without a row stays zero and the comparison fails.
+        let mean = |v: u64| MeanAccumulator::from_parts(v as u128, 1, v, v);
+        let full = RunStats {
+            benchmark: "b".into(),
+            protocol: "p".into(),
+            total_ops: 1,
+            loads: 2,
+            stores: 3,
+            l1_hits: 4,
+            l2_hits: 5,
+            l2_misses: 6,
+            upgrades: 7,
+            comm_misses: 8,
+            noncomm_misses: 9,
+            miss_latency: mean(10),
+            comm_miss_latency: mean(11),
+            miss_latency_hist: Histogram::from_parts(&LATENCY_BUCKETS, &[1, 2, 3, 4, 5, 6, 7]),
+            exec_cycles: 12,
+            noc: NocStats {
+                messages: 13,
+                bytes_injected: 14,
+                byte_hops: 15,
+                ctrl_byte_hops: 16,
+                energy: 0.0,
+                contention_cycles: 17,
+            },
+            snoop_probes: 18,
+            snoop_energy: 0.0,
+            predictions: 19,
+            pred_sufficient: 20,
+            pred_sufficient_comm: 21,
+            pred_insufficient: 22,
+            indirections: 23,
+            predicted_set_sum: 24,
+            actual_set_sum: 25,
+            predictor_storage_bits: 26,
+            pred_overhead_comm: 27,
+            pred_overhead_noncomm: 28,
+            filtered_predictions: 29,
+            migrations: 30,
+            sp: None,
+            comm_matrix: CommMatrix::default(),
+            epoch_records: Vec::new(),
+            pc_volumes: HashMap::new(),
+            trace: Vec::new(),
+        };
+        let mut pooled = RunStats {
+            benchmark: "b".into(),
+            protocol: "p".into(),
+            ..RunStats::default()
+        };
+        pooled.pool(&full);
+        assert_eq!(pooled, full);
     }
 
     #[test]

@@ -56,6 +56,14 @@ cargo run --release --offline -p spcp-cli -- sweep \
     --benches fft,lu --protocols dir,sp --seeds 7 --jobs 2 \
     --out "$SPOOL/sweep" --resume --golden "$SPOOL/sweep.golden"
 
+step "one sweep report: streamed and in-memory stdout are byte-identical"
+cargo run --release --offline -p spcp-cli -- sweep \
+    --benches fft,lu --protocols dir,sp --seeds 7 --jobs 2 > "$SPOOL/in-memory.txt"
+cargo run --release --offline -p spcp-cli -- sweep \
+    --benches fft,lu --protocols dir,sp --seeds 7 --jobs 2 \
+    --out "$SPOOL/report" > "$SPOOL/streamed.txt"
+cmp "$SPOOL/in-memory.txt" "$SPOOL/streamed.txt"
+
 step "kill-resume smoke: torn shard tail, --resume refills the matrix"
 cargo run --release --offline -p spcp-cli -- sweep \
     --benches fft,lu --protocols dir,sp --seeds 7 --jobs 2 \
@@ -68,6 +76,9 @@ cargo run --release --offline -p spcp-cli -- sweep \
     --benches fft,lu --protocols dir,sp --seeds 7 --jobs 2 \
     --out "$SPOOL/kill" --resume --golden "$SPOOL/kill.golden"
 cmp "$SPOOL/sweep.golden" "$SPOOL/kill.golden"
+
+step "benchmark package: builds and passes its tests against the workspace crates"
+cargo test --release --offline --manifest-path sweepbench/Cargo.toml
 
 step "model checker smoke: exhaustive 2-core x 1-line enumeration"
 cargo run --release --offline -p spcp-cli -- check --model --cores 2 --lines 1

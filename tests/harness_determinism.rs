@@ -203,13 +203,14 @@ fn summary_reflects_run_count_and_ops() {
     let result = SweepEngine::new(2).run(&matrix_24());
     let summary = result.summary();
     assert_eq!(summary.runs, 24);
+    let totals = &summary.totals;
     let ops: u64 = result.runs.iter().map(|r| r.stats.total_ops).sum();
-    assert_eq!(summary.total_ops, ops);
-    assert!(summary.accuracy() > 0.0, "sp/uni runs must predict");
-    assert!(summary.noc_byte_hops > 0);
+    assert_eq!(totals.total_ops, ops);
+    assert!(totals.accuracy() > 0.0, "sp/uni runs must predict");
+    assert!(totals.noc.byte_hops > 0);
     assert_eq!(
-        summary.miss_latency.count(),
-        summary.miss_latency_hist.total(),
+        totals.miss_latency.count(),
+        totals.miss_latency_hist.total(),
         "every miss latency sample is histogrammed"
     );
 }
