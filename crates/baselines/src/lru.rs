@@ -1,7 +1,7 @@
 //! A bounded LRU map for finite-capacity predictor tables.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use spcp_sim::FlatMap;
+use std::marker::PhantomData;
 
 /// A key-value table with optional capacity and least-recently-used
 /// eviction.
@@ -9,6 +9,13 @@ use std::hash::Hash;
 /// Predictor tables in the comparison study come in two flavours:
 /// *unlimited* (idealized, `capacity = None`) and *finite* (e.g. 512
 /// entries ≈ 4 KB for Figure 13). `LruTable` serves both.
+///
+/// Keys are integers (macroblock indices, PCs) widened to `u64` into an
+/// open-addressing [`FlatMap`], so a predictor lookup is one
+/// multiplicative hash and a short probe. Every access stamps its entry
+/// with a fresh tick of the table's clock, so stamps are unique and the
+/// eviction scan picks the same victim whatever order it visits entries
+/// in.
 ///
 /// # Examples
 ///
@@ -25,12 +32,13 @@ use std::hash::Hash;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LruTable<K, V> {
-    map: HashMap<K, (V, u64)>,
+    map: FlatMap<(V, u64)>,
     capacity: Option<usize>,
     clock: u64,
+    key: PhantomData<K>,
 }
 
-impl<K: Eq + Hash + Copy, V> LruTable<K, V> {
+impl<K: Into<u64> + Copy, V> LruTable<K, V> {
     /// Creates a table; `None` capacity means unlimited.
     ///
     /// # Panics
@@ -41,9 +49,10 @@ impl<K: Eq + Hash + Copy, V> LruTable<K, V> {
             assert!(c > 0, "capacity must be positive");
         }
         LruTable {
-            map: HashMap::new(),
+            map: FlatMap::new(),
             capacity,
             clock: 0,
+            key: PhantomData,
         }
     }
 
@@ -61,7 +70,7 @@ impl<K: Eq + Hash + Copy, V> LruTable<K, V> {
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         self.clock += 1;
         let clock = self.clock;
-        self.map.get_mut(key).map(|(v, stamp)| {
+        self.map.get_mut((*key).into()).map(|(v, stamp)| {
             *stamp = clock;
             v
         })
@@ -70,35 +79,41 @@ impl<K: Eq + Hash + Copy, V> LruTable<K, V> {
     /// Inserts or replaces an entry, evicting the LRU entry when full.
     pub fn insert(&mut self, key: K, value: V) {
         self.clock += 1;
-        let clock = self.clock;
-        if !self.map.contains_key(&key) {
-            if let Some(cap) = self.capacity {
-                while self.map.len() >= cap {
-                    let victim = self
-                        .map
-                        .iter()
-                        .min_by_key(|(_, (_, stamp))| *stamp)
-                        .map(|(k, _)| *k)
-                        .expect("non-empty map");
-                    self.map.remove(&victim);
-                }
-            }
-        }
-        self.map.insert(key, (value, clock));
+        let key = key.into();
+        self.make_room_for(key);
+        self.map.insert(key, (value, self.clock));
     }
 
     /// Fetches an entry, inserting `default()` first when absent (with
     /// LRU eviction if needed).
     pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        if !self.map.contains_key(&key) {
-            self.insert(key, default());
-        } else {
-            self.clock += 1;
-        }
+        self.clock += 1;
+        let key = key.into();
+        self.make_room_for(key);
         let clock = self.clock;
-        let (v, stamp) = self.map.get_mut(&key).expect("just ensured present");
+        let (v, stamp) = self.map.get_or_insert_with(key, || (default(), clock));
         *stamp = clock;
         v
+    }
+
+    /// Evicts least-recently-used entries until `key` fits: a no-op
+    /// unless the table is full and `key` is not resident.
+    fn make_room_for(&mut self, key: u64) {
+        let Some(cap) = self.capacity else {
+            return;
+        };
+        if self.map.len() < cap || self.map.contains_key(key) {
+            return;
+        }
+        while self.map.len() >= cap {
+            let victim = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(k, _)| k)
+                .expect("non-empty map");
+            self.map.remove(victim);
+        }
     }
 }
 

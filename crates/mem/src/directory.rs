@@ -71,6 +71,10 @@ impl DirEntry {
 #[derive(Debug, Clone)]
 pub struct Directory {
     num_tiles: usize,
+    /// `num_tiles - 1` when the tile count is a power of two (the paper's
+    /// 16 tiles): `home_of` is then a mask instead of a 64-bit divide.
+    /// `None` for other counts (e.g. 36 cores), which keep the modulo.
+    home_mask: Option<u64>,
     entries: FlatMap<DirEntry>,
 }
 
@@ -84,6 +88,7 @@ impl Directory {
         assert!(num_tiles > 0);
         Directory {
             num_tiles,
+            home_mask: num_tiles.is_power_of_two().then(|| num_tiles as u64 - 1),
             entries: FlatMap::new(),
         }
     }
@@ -93,9 +98,14 @@ impl Directory {
         self.num_tiles
     }
 
-    /// The home tile of a block.
+    /// The home tile of a block: [`BlockAddr::home`] over this
+    /// directory's tiles.
+    #[inline]
     pub fn home_of(&self, block: BlockAddr) -> CoreId {
-        block.home(self.num_tiles)
+        match self.home_mask {
+            Some(mask) => CoreId::new((block.index() & mask) as usize),
+            None => block.home(self.num_tiles),
+        }
     }
 
     /// The directory's current view of `block` (all-invalid when never
@@ -179,6 +189,25 @@ mod tests {
 
     fn core(i: usize) -> CoreId {
         CoreId::new(i)
+    }
+
+    #[test]
+    fn home_of_agrees_with_block_home_masked_or_not() {
+        // 4, 16 and 64 tiles take the mask path, 36 the modulo path; both
+        // must match `BlockAddr::home` on small, strided and huge indices.
+        for tiles in [4, 16, 36, 64] {
+            let dir = Directory::new(tiles);
+            assert_eq!(dir.home_mask.is_some(), tiles != 36);
+            let indices = (0..512).chain((0..64).map(|i| i * 4099 + 17)).chain([
+                u64::MAX,
+                u64::MAX - 35,
+                1 << 40,
+            ]);
+            for i in indices {
+                let b = blk(i);
+                assert_eq!(dir.home_of(b), b.home(tiles), "{tiles} tiles, block {i}");
+            }
+        }
     }
 
     #[test]

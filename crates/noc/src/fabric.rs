@@ -1,9 +1,7 @@
 //! The timed network fabric: wormhole-approximate contention, bandwidth and
 //! energy accounting.
 
-#[cfg(test)]
-use crate::mesh::Link;
-use crate::mesh::{Coord, Direction, Mesh};
+use crate::mesh::{Link, Mesh};
 use crate::message::MsgKind;
 use spcp_sim::{CoreId, Cycle};
 
@@ -97,6 +95,19 @@ impl NocStats {
         self.energy += other.energy;
         self.contention_cycles += other.contention_cycles;
     }
+
+    /// Accounts a `bytes`-sized message moved over `hops` hops: byte·hops
+    /// (control-only messages also in the request-bandwidth bucket) and
+    /// the §5.3 energy model, in which each hop moves the bytes through
+    /// one router and one link.
+    fn add_hops(&mut self, kind: MsgKind, bytes: u64, hops: u64, cfg: &NocConfig) {
+        self.byte_hops += bytes * hops;
+        if !kind.carries_data() {
+            self.ctrl_byte_hops += bytes * hops;
+        }
+        self.energy +=
+            bytes as f64 * hops as f64 * (cfg.link_energy_per_byte + cfg.router_energy_per_byte);
+    }
 }
 
 /// The timed mesh network.
@@ -127,64 +138,174 @@ impl NocStats {
 pub struct Fabric {
     mesh: Mesh,
     cfg: NocConfig,
-    /// Virtual channels per directed link (`cfg.virtual_channels.max(1)`,
-    /// cached for the indexing math below).
+    routes: RouteTable,
+    reservations: VcTable,
+    stats: NocStats,
+}
+
+/// Every X-Y route of the mesh, precomputed: the hot path reads a route's
+/// hop count and link list with one multiply-add and two loads instead of
+/// re-deriving coordinates (a divide and a modulo per endpoint) on every
+/// send.
+///
+/// A route is a run of *dense link indices* (`node × 4 + direction`, see
+/// [`dense_link`]) in travel order; the runs of all `nodes²` ordered pairs
+/// are concatenated in `links`, and pair `src × nodes + dst` owns
+/// `links[start[pair]..start[pair + 1]]`. The table therefore holds
+/// Σ hops over all ordered pairs — O(nodes² × diameter) — `u16` link
+/// indices plus `nodes² + 1` `u32` offsets: 2.3 KB for the paper's 4×4
+/// mesh (640 links, 257 offsets) and 59 KB at 64 nodes (8×8: 21 504
+/// links = 43 KB, plus 16 KB of offsets). It is built once per fabric.
+#[derive(Debug)]
+struct RouteTable {
+    nodes: usize,
+    start: Vec<u32>,
+    links: Vec<u16>,
+}
+
+impl RouteTable {
+    fn new(mesh: &Mesh) -> Self {
+        let nodes = mesh.nodes();
+        assert!(
+            nodes * 4 <= usize::from(u16::MAX) + 1,
+            "a {nodes}-node mesh has more directed links than u16 link indices cover"
+        );
+        let mut start = Vec::with_capacity(nodes * nodes + 1);
+        let mut links = Vec::new();
+        start.push(0);
+        for src in 0..nodes {
+            for dst in 0..nodes {
+                let route = mesh.route_iter(CoreId::new(src), CoreId::new(dst));
+                links.extend(route.map(|link| dense_link(link) as u16));
+                let end = u32::try_from(links.len()).expect("route table exceeds u32 offsets");
+                start.push(end);
+            }
+        }
+        RouteTable {
+            nodes,
+            start,
+            links,
+        }
+    }
+
+    /// The dense link indices of the X-Y route `src → dst`, in travel
+    /// order (empty when `src == dst`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either core is outside the mesh.
+    #[inline]
+    fn route(&self, src: CoreId, dst: CoreId) -> &[u16] {
+        let (s, d) = (src.index(), dst.index());
+        assert!(
+            s < self.nodes && d < self.nodes,
+            "route {s} -> {d} outside a {}-node mesh",
+            self.nodes
+        );
+        let pair = s * self.nodes + d;
+        &self.links[self.start[pair] as usize..self.start[pair + 1] as usize]
+    }
+}
+
+/// Dense index of a directed link in `[0, nodes × 4)`: the row of its VC
+/// slots in [`VcTable`].
+fn dense_link(link: Link) -> usize {
+    link.from * 4 + link.dir.index()
+}
+
+/// Virtual-channel reservations of every directed link.
+///
+/// The directed links of a mesh are a small dense set — at most 4 per
+/// node — so reservations live in one flat array indexed by
+/// `dense_link × vcs + vc`: no hashing, no per-link heap allocation, and
+/// `reset` is a `fill`.
+#[derive(Debug)]
+struct VcTable {
+    /// Virtual channels per directed link (`cfg.virtual_channels.max(1)`).
     vcs: usize,
     /// Next cycle at which each virtual channel of each directed link is
-    /// free. The directed links of a mesh are a small dense set — at most
-    /// 4 per node — so reservations live in one flat array indexed by
-    /// `(node × 4 + direction) × vcs + vc`: no hashing, no per-link heap
-    /// allocation, and `reset` is a `fill`.
+    /// free.
     link_free: Vec<Cycle>,
     /// Per-link last-commit watermark: the latest reservation end ever
     /// written to any VC of the link. Every commit raises it, so no VC
     /// slot may hold a cycle beyond it — the invariant [`Fabric::audit`]
     /// checks after batched route commits.
     last_commit: Vec<Cycle>,
-    /// Scratch for the batched reservation path: the dense link index
-    /// (`node × 4 + direction`) of every hop of the current route, in
-    /// travel order. A link's VC slot base is `link × vcs`, so staging
-    /// indices instead of bases keeps the commit pass free of divisions.
-    /// Reused across sends — capacity stabilizes at the mesh diameter,
-    /// keeping the hot path allocation-free.
-    route_links: Vec<usize>,
-    stats: NocStats,
 }
 
-impl Fabric {
-    /// Creates a fabric from a configuration.
-    pub fn new(cfg: NocConfig) -> Self {
-        let vcs = cfg.virtual_channels.max(1);
-        Fabric {
-            mesh: Mesh::new(cfg.width, cfg.height),
+impl VcTable {
+    fn new(nodes: usize, vcs: usize) -> Self {
+        VcTable {
             vcs,
-            link_free: vec![Cycle::ZERO; cfg.nodes() * 4 * vcs],
-            last_commit: vec![Cycle::ZERO; cfg.nodes() * 4],
-            route_links: Vec::with_capacity(cfg.width + cfg.height),
-            cfg,
-            stats: NocStats::default(),
+            link_free: vec![Cycle::ZERO; nodes * 4 * vcs],
+            last_commit: vec![Cycle::ZERO; nodes * 4],
         }
     }
 
-    /// Start of `link`'s VC slot range inside `link_free`. The batched
-    /// path derives bases from staged link indices instead; this per-link
-    /// derivation remains the oracle the staging tests check against.
-    #[cfg(test)]
-    fn link_base(&self, link: Link) -> usize {
-        debug_assert!(
-            link.from < self.cfg.nodes() && link.dir.index() < 4,
-            "link {:?} outside the {}-node reservation table",
-            link,
-            self.cfg.nodes()
-        );
-        let base = (link.from * 4 + link.dir.index()) * self.vcs;
-        debug_assert!(
-            base + self.vcs <= self.link_free.len(),
-            "VC slot range [{base}, {}) exceeds reservation table of {}",
-            base + self.vcs,
-            self.link_free.len()
-        );
-        base
+    fn reset(&mut self) {
+        self.link_free.fill(Cycle::ZERO);
+        self.last_commit.fill(Cycle::ZERO);
+    }
+
+    /// Commits every hop of `route` (dense link indices, in travel order)
+    /// in one pass over `link_free`, each link held for `hold` cycles.
+    /// Returns the head flit's arrival time and the cycles it spent
+    /// queued for busy links.
+    ///
+    /// Commits are sequential — each hop re-reads its link's slots at
+    /// commit time — so a route that crosses the same link twice
+    /// correctly queues its second crossing behind its first (see the
+    /// regression test below; X-Y routing never produces such a route,
+    /// but the commit protocol must not silently depend on that). Every
+    /// commit also raises the link's `last_commit` watermark, which
+    /// [`Fabric::audit`] checks against the slot table after a run.
+    #[inline]
+    fn commit(&mut self, route: &[u16], depart: Cycle, hold: u64, cfg: &NocConfig) -> (Cycle, u64) {
+        let mut head = depart;
+        let mut waited = 0;
+        for &link in route {
+            let link = usize::from(link);
+            let base = link * self.vcs;
+            // Router pipeline for the head flit.
+            head += cfg.router_cycles;
+            let slots = &mut self.link_free[base..base + self.vcs];
+            // Grab the earliest-free virtual channel (first on ties).
+            let slot = slots
+                .iter_mut()
+                .min_by_key(|c| **c)
+                .expect("at least one VC");
+            if *slot > head {
+                waited += (*slot - head).as_u64();
+                head = *slot;
+            }
+            // The channel is busy for the serialization time of the body.
+            let end = head + hold;
+            *slot = end;
+            let mark = &mut self.last_commit[link];
+            *mark = (*mark).max(end);
+            head += cfg.link_cycles;
+        }
+        (head, waited)
+    }
+}
+
+impl Fabric {
+    /// Creates a fabric from a configuration, precomputing its route
+    /// table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mesh has more than 16384 nodes (link indices are
+    /// `u16`).
+    pub fn new(cfg: NocConfig) -> Self {
+        let mesh = Mesh::new(cfg.width, cfg.height);
+        Fabric {
+            routes: RouteTable::new(&mesh),
+            reservations: VcTable::new(cfg.nodes(), cfg.virtual_channels.max(1)),
+            mesh,
+            cfg,
+            stats: NocStats::default(),
+        }
     }
 
     /// The underlying topology.
@@ -205,9 +326,19 @@ impl Fabric {
     /// Resets statistics and link reservations (used between measurement
     /// phases).
     pub fn reset(&mut self) {
-        self.link_free.fill(Cycle::ZERO);
-        self.last_commit.fill(Cycle::ZERO);
+        self.reservations.reset();
         self.stats = NocStats::default();
+    }
+
+    /// X-Y hop count from `src` to `dst`, read from the route table
+    /// (equal to [`Mesh::hops`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either core is outside the mesh.
+    #[inline]
+    pub fn hops(&self, src: CoreId, dst: CoreId) -> u64 {
+        self.routes.route(src, dst).len() as u64
     }
 
     /// Number of flits a message of `bytes` serializes into.
@@ -221,11 +352,13 @@ impl Fabric {
     /// contention when enabled. A message to the local tile arrives
     /// immediately.
     ///
-    /// Reservations are batched: [`Fabric::stage_route`] derives the VC
-    /// slot base of every hop of the X-Y route once — two strided
-    /// arithmetic legs, no per-hop `Link` construction or base re-derive —
-    /// and [`Fabric::commit_reservations`] then commits all hops in a
-    /// single pass over `link_free`.
+    /// The route's hop count and links come from the precomputed route
+    /// table; all hops are then reserved in a single pass over the VC
+    /// table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either core is outside the mesh.
     pub fn send(&mut self, src: CoreId, dst: CoreId, kind: MsgKind, depart: Cycle) -> Cycle {
         let bytes = kind.bytes();
         self.stats.messages += 1;
@@ -235,120 +368,19 @@ impl Fabric {
             return depart;
         }
 
-        let a = self.mesh.coord_of(src);
-        let b = self.mesh.coord_of(dst);
-        let hops = (a.x.abs_diff(b.x) + a.y.abs_diff(b.y)) as u64;
-        self.stats.byte_hops += bytes * hops;
-        if !kind.carries_data() {
-            self.stats.ctrl_byte_hops += bytes * hops;
-        }
-        // §5.3 model: each hop moves the bytes through one router + one link.
-        self.stats.energy += bytes as f64
-            * hops as f64
-            * (self.cfg.link_energy_per_byte + self.cfg.router_energy_per_byte);
+        let route = self.routes.route(src, dst);
+        let hops = route.len() as u64;
+        self.stats.add_hops(kind, bytes, hops, &self.cfg);
 
         if !self.cfg.model_contention {
             // Pure pipeline latency; no reservation state to touch.
-            return depart + hops * (self.cfg.router_cycles + self.cfg.link_cycles);
+            return depart + self.pipe_latency(hops);
         }
 
-        let flits = self.flits(bytes);
-        self.stage_route(a, b);
-        self.commit_reservations(depart, flits)
-    }
-
-    /// Pass 1 of the batched reservation: fills `route_links` with the
-    /// dense link index of every hop of the X-Y route `a → b`, in travel
-    /// order.
-    ///
-    /// Adjacent hops of a leg differ by a fixed stride (±4 along a row,
-    /// ±`4 × width` along a column), so the whole list is two strided
-    /// walks — no per-hop `Link` construction or coordinate math.
-    #[inline]
-    fn stage_route(&mut self, a: Coord, b: Coord) {
-        self.route_links.clear();
-        let width = self.cfg.width;
-        if b.x != a.x {
-            let east = b.x > a.x;
-            let dir = if east {
-                Direction::East
-            } else {
-                Direction::West
-            };
-            let mut link = (a.y * width + a.x) * 4 + dir.index();
-            for _ in 0..a.x.abs_diff(b.x) {
-                self.route_links.push(link);
-                if east {
-                    link += 4;
-                } else {
-                    link -= 4;
-                }
-            }
-        }
-        if b.y != a.y {
-            let north = b.y > a.y;
-            let dir = if north {
-                Direction::North
-            } else {
-                Direction::South
-            };
-            let mut link = (a.y * width + b.x) * 4 + dir.index();
-            let col_stride = 4 * width;
-            for _ in 0..a.y.abs_diff(b.y) {
-                self.route_links.push(link);
-                if north {
-                    link += col_stride;
-                } else {
-                    link -= col_stride;
-                }
-            }
-        }
-    }
-
-    /// Pass 2 of the batched reservation: commits every staged hop in one
-    /// pass over `link_free`, returning the head flit's arrival time.
-    ///
-    /// Commits are sequential — each hop re-reads its link's slots at
-    /// commit time rather than using values captured during staging — so
-    /// a route that crosses the same link twice correctly queues its
-    /// second crossing behind its first (see the regression test below;
-    /// X-Y routing never produces such a route, but the commit protocol
-    /// must not silently depend on that). Every commit also raises the
-    /// link's `last_commit` watermark, which [`Fabric::audit`] checks
-    /// against the slot table after a run.
-    #[inline]
-    fn commit_reservations(&mut self, depart: Cycle, flits: u64) -> Cycle {
-        let hold = flits * self.cfg.link_cycles;
-        let mut head = depart;
-        for i in 0..self.route_links.len() {
-            let link = self.route_links[i];
-            let base = link * self.vcs;
-            debug_assert!(
-                base + self.vcs <= self.link_free.len(),
-                "staged VC slot range [{base}, {}) exceeds reservation table of {}",
-                base + self.vcs,
-                self.link_free.len()
-            );
-            // Router pipeline for the head flit.
-            head += self.cfg.router_cycles;
-            let slots = &mut self.link_free[base..base + self.vcs];
-            // Grab the earliest-free virtual channel (first on ties).
-            let slot = slots
-                .iter_mut()
-                .min_by_key(|c| **c)
-                .expect("at least one VC");
-            if *slot > head {
-                self.stats.contention_cycles += (*slot - head).as_u64();
-                head = *slot;
-            }
-            // The channel is busy for the serialization time of the body.
-            let end = head + hold;
-            *slot = end;
-            let mark = &mut self.last_commit[link];
-            *mark = (*mark).max(end);
-            head += self.cfg.link_cycles;
-        }
-        head
+        let hold = self.flits(bytes) * self.cfg.link_cycles;
+        let (arrival, waited) = self.reservations.commit(route, depart, hold, &self.cfg);
+        self.stats.contention_cycles += waited;
+        arrival
     }
 
     /// Accounts a message's bandwidth and energy without timing it or
@@ -365,14 +397,8 @@ impl Fabric {
         if src == dst {
             return;
         }
-        let hops = self.mesh.hops(src, dst) as u64;
-        self.stats.byte_hops += bytes * hops;
-        if !kind.carries_data() {
-            self.stats.ctrl_byte_hops += bytes * hops;
-        }
-        self.stats.energy += bytes as f64
-            * hops as f64
-            * (self.cfg.link_energy_per_byte + self.cfg.router_energy_per_byte);
+        let hops = self.hops(src, dst);
+        self.stats.add_hops(kind, bytes, hops, &self.cfg);
     }
 
     /// Sends the same message to every core in `targets`, returning the
@@ -415,34 +441,40 @@ impl Fabric {
     ///
     /// Returns a description of the first inconsistency found.
     pub fn audit(&self) -> Result<(), String> {
-        let want = self.cfg.nodes() * 4 * self.vcs;
-        if self.link_free.len() != want {
+        let VcTable {
+            vcs,
+            link_free,
+            last_commit,
+        } = &self.reservations;
+        let vcs = *vcs;
+        let want = self.cfg.nodes() * 4 * vcs;
+        if link_free.len() != want {
             return Err(format!(
                 "VC reservation table has {} slots, geometry implies {want}",
-                self.link_free.len()
+                link_free.len()
             ));
         }
-        if self.last_commit.len() != self.cfg.nodes() * 4 {
+        if last_commit.len() != self.cfg.nodes() * 4 {
             return Err(format!(
                 "last-commit table has {} links, geometry implies {}",
-                self.last_commit.len(),
+                last_commit.len(),
                 self.cfg.nodes() * 4
             ));
         }
-        for (slot, &free_at) in self.link_free.iter().enumerate() {
-            let link = slot / self.vcs;
-            if free_at > self.last_commit[link] {
+        for (slot, &free_at) in link_free.iter().enumerate() {
+            let link = slot / vcs;
+            if free_at > last_commit[link] {
                 return Err(format!(
                     "VC slot {slot} free at {free_at}, beyond link {link}'s \
                      last commit {}",
-                    self.last_commit[link]
+                    last_commit[link]
                 ));
             }
         }
-        if self.vcs != self.cfg.virtual_channels.max(1) {
+        if vcs != self.cfg.virtual_channels.max(1) {
             return Err(format!(
                 "cached VC count {} disagrees with config {}",
-                self.vcs, self.cfg.virtual_channels
+                vcs, self.cfg.virtual_channels
             ));
         }
         if self.stats.ctrl_byte_hops > self.stats.byte_hops {
@@ -462,6 +494,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::Direction;
 
     fn fabric() -> Fabric {
         Fabric::new(NocConfig::default())
@@ -684,62 +717,78 @@ mod tests {
     }
 
     #[test]
-    fn staged_bases_match_per_link_derivation() {
-        // The strided staging pass must agree with link_base over every
-        // route of a rectangular mesh (off the square 4×4 path).
-        let mut f = Fabric::new(NocConfig {
-            width: 5,
-            height: 3,
-            ..NocConfig::default()
-        });
-        for s in 0..15 {
-            for d in 0..15 {
-                let src = CoreId::new(s);
-                let dst = CoreId::new(d);
-                let a = f.mesh.coord_of(src);
-                let b = f.mesh.coord_of(dst);
-                f.stage_route(a, b);
-                let staged: Vec<usize> = f.route_links.iter().map(|&l| l * f.vcs).collect();
-                let expected: Vec<usize> = f
-                    .mesh
-                    .route(src, dst)
-                    .into_iter()
-                    .map(|l| f.link_base(l))
-                    .collect();
-                assert_eq!(staged, expected, "{s} -> {d}");
+    fn route_table_matches_mesh_routes_and_hops() {
+        // Every ordered pair of square, rectangular, single-column and
+        // large meshes: the table's link run is the mesh's X-Y route, link
+        // by link, and its length is the Manhattan distance. The total
+        // link count is the size the `RouteTable` docs quote.
+        for (width, height, links) in [(4, 4, 640), (5, 3, 560), (1, 7, 112), (8, 8, 21_504)] {
+            let f = Fabric::new(NocConfig {
+                width,
+                height,
+                ..NocConfig::default()
+            });
+            let nodes = width * height;
+            for s in 0..nodes {
+                for d in 0..nodes {
+                    let (src, dst) = (CoreId::new(s), CoreId::new(d));
+                    let table: Vec<usize> = f
+                        .routes
+                        .route(src, dst)
+                        .iter()
+                        .map(|&l| usize::from(l))
+                        .collect();
+                    let mesh: Vec<usize> =
+                        f.mesh.route(src, dst).into_iter().map(dense_link).collect();
+                    assert_eq!(table, mesh, "{width}x{height}: {s} -> {d}");
+                    assert_eq!(
+                        f.hops(src, dst),
+                        f.mesh.hops(src, dst) as u64,
+                        "{width}x{height}: {s} -> {d}"
+                    );
+                }
             }
+            assert_eq!(f.routes.links.len(), links, "{width}x{height}");
+            assert_eq!(f.routes.start.len(), nodes * nodes + 1);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 16-node mesh")]
+    fn route_to_core_outside_mesh_panics() {
+        fabric().send(
+            CoreId::new(0),
+            CoreId::new(16),
+            MsgKind::Request,
+            Cycle::ZERO,
+        );
     }
 
     /// Regression for the per-hop path's edge case: a route crossing the
     /// same link twice. X-Y routing cannot produce one, but the commit
     /// protocol must stay sequential — a batched variant that captured
-    /// slot *values* during staging would hand both crossings the same
-    /// free cycle and lose the queueing. Seeded directly through the
-    /// staging scratch.
+    /// slot *values* up front would hand both crossings the same free
+    /// cycle and lose the queueing. Fed directly as a link slice.
     #[test]
     fn duplicate_link_route_queues_second_crossing() {
         let mut f = Fabric::new(NocConfig {
             virtual_channels: 1,
             ..NocConfig::default()
         });
-        let base = f.link_base(Link {
+        let link = dense_link(Link {
             from: 0,
             dir: Direction::East,
         });
-        let link = base / f.vcs;
-        f.route_links.clear();
-        f.route_links.push(link);
-        f.route_links.push(link);
+        let route = [link as u16; 2];
         // 4 flits hold the link 4 cycles per crossing (link_cycles = 1).
-        let arrival = f.commit_reservations(Cycle::ZERO, 4);
+        let (arrival, waited) = f.reservations.commit(&route, Cycle::ZERO, 4, &f.cfg);
         // Hop 1: router 2 → head 2, reserve [2, 6), link 1 → head 3.
         // Hop 2: router 2 → head 5, slot busy until 6 → 1 contention
         // cycle, reserve [6, 10), link 1 → arrival 7.
         assert_eq!(arrival, Cycle::new(7));
-        assert_eq!(f.stats().contention_cycles, 1);
-        assert_eq!(f.link_free[base], Cycle::new(10));
-        assert_eq!(f.last_commit[link], Cycle::new(10));
+        assert_eq!(waited, 1);
+        assert_eq!(f.reservations.link_free[link], Cycle::new(10));
+        assert_eq!(f.reservations.last_commit[link], Cycle::new(10));
         f.audit()
             .expect("sequential commit keeps the watermark exact");
     }
@@ -756,12 +805,12 @@ mod tests {
         f.audit().expect("clean run");
         // Corrupt one reserved slot past its link's watermark: the audit
         // must name it.
-        let base = f.link_base(Link {
+        let link = dense_link(Link {
             from: 0,
             dir: Direction::East,
         });
-        let link = base / f.vcs;
-        f.link_free[base] = f.last_commit[link] + 1;
+        let v = &mut f.reservations;
+        v.link_free[link * v.vcs] = v.last_commit[link] + 1;
         let err = f.audit().expect_err("corruption undetected");
         assert!(
             err.contains("last commit"),
@@ -779,7 +828,7 @@ mod tests {
             Cycle::ZERO,
         );
         f.reset();
-        assert!(f.last_commit.iter().all(|&c| c == Cycle::ZERO));
+        assert!(f.reservations.last_commit.iter().all(|&c| c == Cycle::ZERO));
         f.audit().expect("reset state is consistent");
     }
 }

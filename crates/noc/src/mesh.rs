@@ -140,14 +140,14 @@ impl Mesh {
     ///
     /// The route is empty when `src == dst`.
     ///
-    /// Allocates; the timed fabric's per-message hot path uses
-    /// [`Mesh::route_iter`] instead.
+    /// Allocates; the timed fabric instead reads routes from a table it
+    /// builds once with [`Mesh::route_iter`].
     pub fn route(&self, src: CoreId, dst: CoreId) -> Vec<Link> {
         self.route_iter(src, dst).collect()
     }
 
     /// Iterator form of [`Mesh::route`]: walks the X-Y route lazily with
-    /// no heap allocation. Used by the fabric on every send.
+    /// no heap allocation. The fabric builds its route table from it.
     ///
     /// # Examples
     ///

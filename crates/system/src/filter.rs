@@ -8,15 +8,21 @@
 //! touches skips the predicted requests entirely.
 
 use spcp_mem::BlockAddr;
-use spcp_sim::{CoreId, CoreSet};
-use std::collections::HashMap;
+use spcp_sim::{CoreId, CoreSet, FlatMap};
 
 /// Blocks per tracked region (64 blocks × 64 B = 4 KB regions).
 pub const REGION_BLOCKS: u64 = 64;
 
+// `RegionTracker::count_key` packs `(region, core)` into one `u64`.
+const _: () = assert!(REGION_BLOCKS >= CoreSet::MAX_CORES as u64);
+
 /// Tracks, for every region with at least one cached block, the set of
 /// cores holding blocks of it (with per-core block counts so departures are
 /// exact).
+///
+/// Both tables are open-addressing [`FlatMap`]s: the tracker is updated on
+/// every L2 fill and drop while the filter is on, so each update costs one
+/// multiplicative hash and a short probe.
 ///
 /// # Examples
 ///
@@ -33,10 +39,10 @@ pub const REGION_BLOCKS: u64 = 64;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RegionTracker {
-    /// `(region, core) -> cached block count`.
-    counts: HashMap<(u64, usize), u32>,
+    /// `region × MAX_CORES + core -> cached block count`.
+    counts: FlatMap<u32>,
     /// `region -> cores with at least one cached block`.
-    sharers: HashMap<u64, CoreSet>,
+    sharers: FlatMap<CoreSet>,
 }
 
 impl RegionTracker {
@@ -49,13 +55,24 @@ impl RegionTracker {
         block.index() / REGION_BLOCKS
     }
 
+    /// Key of `core`'s block count in `region`. Cannot overflow: a
+    /// region index is below 2⁶⁴ / `REGION_BLOCKS`, which is at most
+    /// 2⁶⁴ / `MAX_CORES`.
+    fn count_key(region: u64, core: CoreId) -> u64 {
+        region * CoreSet::MAX_CORES as u64 + core.index() as u64
+    }
+
     /// Records that `core` now caches `block`.
     pub fn on_fill(&mut self, core: CoreId, block: BlockAddr) {
         let region = Self::region_of(block);
-        let count = self.counts.entry((region, core.index())).or_insert(0);
+        let count = self
+            .counts
+            .get_or_insert_with(Self::count_key(region, core), || 0);
         *count += 1;
         if *count == 1 {
-            self.sharers.entry(region).or_default().insert(core);
+            self.sharers
+                .get_or_insert_with(region, CoreSet::empty)
+                .insert(core);
         }
     }
 
@@ -65,14 +82,15 @@ impl RegionTracker {
     /// tracker never saw filled).
     pub fn on_drop(&mut self, core: CoreId, block: BlockAddr) {
         let region = Self::region_of(block);
-        if let Some(count) = self.counts.get_mut(&(region, core.index())) {
+        let key = Self::count_key(region, core);
+        if let Some(count) = self.counts.get_mut(key) {
             *count -= 1;
             if *count == 0 {
-                self.counts.remove(&(region, core.index()));
-                if let Some(s) = self.sharers.get_mut(&region) {
+                self.counts.remove(key);
+                if let Some(s) = self.sharers.get_mut(region) {
                     s.remove(core);
                     if s.is_empty() {
-                        self.sharers.remove(&region);
+                        self.sharers.remove(region);
                     }
                 }
             }
@@ -84,7 +102,7 @@ impl RegionTracker {
     /// communicating miss, so prediction is pure waste.
     pub fn others_share_region(&self, requester: CoreId, block: BlockAddr) -> bool {
         let region = Self::region_of(block);
-        match self.sharers.get(&region) {
+        match self.sharers.get(region) {
             Some(s) => {
                 let mut others = *s;
                 others.remove(requester);

@@ -131,7 +131,10 @@ pub struct CmpSystem {
     barrier_id: Option<StaticSyncId>,
     barrier_releases: u64,
     locks: LockRuntime,
-    regions: RegionTracker,
+    /// The §5.3 region filter's tracker; present only when
+    /// `cfg.snoop_filter` is set, so runs without the filter pay nothing
+    /// for it on fills and drops.
+    regions: Option<RegionTracker>,
     stats: RunStats,
     /// Coherence transactions committed so far (invariant-violation
     /// reports cite this id).
@@ -239,7 +242,7 @@ impl CmpSystem {
             barrier_id: None,
             barrier_releases: 0,
             locks: LockRuntime::new(machine.lock_transfer_cost),
-            regions: RegionTracker::new(),
+            regions: cfg.snoop_filter.then(RegionTracker::new),
             cfg: RunConfig {
                 machine,
                 ..cfg.clone()
@@ -698,21 +701,27 @@ impl CmpSystem {
                     self.fabric.send(core, home, MsgKind::WriteBack, t);
                 }
                 self.dir.record_drop(victim, core);
-                self.regions.on_drop(core, victim);
+                if let Some(regions) = &mut self.regions {
+                    regions.on_drop(core, victim);
+                }
             } else {
                 // Same-block replacement: presence unchanged.
                 self.fill_l1(c, block);
                 return;
             }
         }
-        self.regions.on_fill(core, block);
+        if let Some(regions) = &mut self.regions {
+            regions.on_fill(core, block);
+        }
         self.fill_l1(c, block);
     }
 
     /// Drops `block` from a remote sharer's caches (invalidation).
     fn invalidate_at(&mut self, core: CoreId, block: BlockAddr) {
         if self.tiles[core.index()].l2.invalidate(block).is_some() {
-            self.regions.on_drop(core, block);
+            if let Some(regions) = &mut self.regions {
+                regions.on_drop(core, block);
+            }
         }
         self.tiles[core.index()].l1.invalidate(block);
     }
@@ -846,7 +855,11 @@ impl CmpSystem {
         miss: &MissInfo,
         communicating: bool,
     ) -> CoreSet {
-        if self.cfg.snoop_filter && !self.regions.others_share_region(core, miss.block) {
+        let filtered = self
+            .regions
+            .as_ref()
+            .is_some_and(|r| !r.others_share_region(core, miss.block));
+        if filtered {
             debug_assert!(
                 !communicating,
                 "region filter must never suppress a communicating miss"
@@ -1318,8 +1331,7 @@ impl CmpSystem {
         kind: MsgKind,
         communicating: bool,
     ) {
-        let hops = self.fabric.mesh().hops(src, dst) as u64;
-        let cost = kind.bytes() * hops;
+        let cost = kind.bytes() * self.fabric.hops(src, dst);
         if communicating {
             self.stats.pred_overhead_comm += cost;
         } else {

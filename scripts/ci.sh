@@ -80,6 +80,12 @@ cmp "$SPOOL/sweep.golden" "$SPOOL/kill.golden"
 step "benchmark package: builds and passes its tests against the workspace crates"
 cargo test --release --offline --manifest-path sweepbench/Cargo.toml
 
+step "in-process A/B smoke: working tree vs HEAD, one compute-sync round"
+# Snapshot equality only: the driver exits nonzero if any cell's golden
+# snapshot differs between the two builds. Its timing ratio is printed
+# but not checked (host noise exceeds 10%).
+scripts/ab_inprocess.sh HEAD compute-sync 1
+
 step "model checker smoke: exhaustive 2-core x 1-line enumeration"
 cargo run --release --offline -p spcp-cli -- check --model --cores 2 --lines 1
 

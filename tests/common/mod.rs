@@ -6,12 +6,21 @@
 //! eviction). `tests/soa_equivalence.rs` runs it in lockstep against the
 //! real cache; `tests/properties.rs` checks the LRU invariants against
 //! both implementations independently.
+//!
+//! `RefRegionTracker` is a verbatim port of the `HashMap`-based
+//! `RegionTracker` of the §5.3 region filter, before it moved onto
+//! `FlatMap`; `tests/flat_table_equivalence.rs` runs random fill/drop
+//! churn through both.
 
 // Each integration test binary compiles its own copy of this module and
 // uses a subset of it.
 #![allow(dead_code)]
 
+use std::collections::HashMap;
+
 use spcp::mem::{BlockAddr, CacheConfig};
+use spcp::sim::{CoreId, CoreSet};
+use spcp::system::filter::REGION_BLOCKS;
 
 struct Way<T> {
     tag: BlockAddr,
@@ -150,5 +159,75 @@ impl<T> RefCache<T> {
             .collect();
         v.sort_unstable();
         v
+    }
+}
+
+/// The `HashMap` region tracker, ported verbatim.
+#[derive(Debug, Clone, Default)]
+pub struct RefRegionTracker {
+    /// `(region, core) -> cached block count`.
+    counts: HashMap<(u64, usize), u32>,
+    /// `region -> cores with at least one cached block`.
+    sharers: HashMap<u64, CoreSet>,
+}
+
+impl RefRegionTracker {
+    /// Creates an empty tracker.
+    pub fn new() -> Self {
+        RefRegionTracker::default()
+    }
+
+    fn region_of(block: BlockAddr) -> u64 {
+        block.index() / REGION_BLOCKS
+    }
+
+    /// Records that `core` now caches `block`.
+    pub fn on_fill(&mut self, core: CoreId, block: BlockAddr) {
+        let region = Self::region_of(block);
+        let count = self.counts.entry((region, core.index())).or_insert(0);
+        *count += 1;
+        if *count == 1 {
+            self.sharers.entry(region).or_default().insert(core);
+        }
+    }
+
+    /// Records that `core` dropped `block` (eviction or invalidation).
+    ///
+    /// Unmatched drops are ignored (idempotent with respect to blocks the
+    /// tracker never saw filled).
+    pub fn on_drop(&mut self, core: CoreId, block: BlockAddr) {
+        let region = Self::region_of(block);
+        if let Some(count) = self.counts.get_mut(&(region, core.index())) {
+            *count -= 1;
+            if *count == 0 {
+                self.counts.remove(&(region, core.index()));
+                if let Some(s) = self.sharers.get_mut(&region) {
+                    s.remove(core);
+                    if s.is_empty() {
+                        self.sharers.remove(&region);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether any core other than `requester` caches a block of the
+    /// region containing `block`. When `false`, a miss there cannot be a
+    /// communicating miss, so prediction is pure waste.
+    pub fn others_share_region(&self, requester: CoreId, block: BlockAddr) -> bool {
+        let region = Self::region_of(block);
+        match self.sharers.get(&region) {
+            Some(s) => {
+                let mut others = *s;
+                others.remove(requester);
+                !others.is_empty()
+            }
+            None => false,
+        }
+    }
+
+    /// Number of regions currently tracked.
+    pub fn tracked_regions(&self) -> usize {
+        self.sharers.len()
     }
 }
